@@ -27,7 +27,7 @@ pub mod noise;
 pub mod r2t;
 pub mod truncation;
 
-pub use accountant::{Accountant, BudgetCell, BudgetExceeded, CellCharge};
+pub use accountant::{BudgetCell, BudgetExceeded, CellCharge};
 pub use branch_patch::BranchPatcher;
 pub use mechanism::Mechanism;
 pub use r2t::{BranchValues, R2TConfig, R2TConfigBuilder, R2TReport, R2T};

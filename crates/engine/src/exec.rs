@@ -211,15 +211,10 @@ pub fn profile_with_stats_src(
     opts: &ExecOptions,
 ) -> Result<(QueryProfile, ExecStats), EngineError> {
     let q = complete_query(schema, query)?;
-    if q.num_vars() == 0 {
-        // Degenerate zero-variable queries (relations without columns) are
-        // not worth a columnar path.
-        return match source {
-            Source::Rows(instance) => profile_reference(schema, instance, query),
-            Source::Archive(a) => profile_reference(schema, &a.materialize(), query),
-        };
-    }
     let private_vars = private_key_vars(schema, &q)?;
+    if q.num_vars() == 0 {
+        return constant_profile(source, &q);
+    }
     if use_wcoj(&q, opts.strategy) {
         return match crate::wcoj::run_flat(schema, source, &q, private_vars, opts)? {
             Some(out) => Ok(out),
@@ -240,6 +235,37 @@ pub fn profile_with_stats_src(
         surviving_results,
         peak_resident_bytes: peak_bindings * plan.nvars * std::mem::size_of::<u32>(),
     };
+    Ok((builder.build(), stats))
+}
+
+/// Profile of a completed query that binds no variable. Only zero-arity
+/// atoms give that, so no result references a private tuple: the join is
+/// the product of the atoms' row counts, every result is the empty binding,
+/// and the predicate and weight are constants. Reading row counts alone
+/// keeps an archive source mapped.
+fn constant_profile(
+    source: Source<'_>,
+    q: &Query,
+) -> Result<(QueryProfile, ExecStats), EngineError> {
+    let nrows = |relation: &str| match source {
+        Source::Rows(instance) => instance.rows(relation).len(),
+        Source::Archive(a) => a.table(relation).map_or(0, |t| t.nrows),
+    };
+    // An atom-free query has no results, not the empty product's one.
+    let results =
+        q.atoms.iter().map(|a| nrows(&a.relation)).reduce(usize::saturating_mul).unwrap_or(0);
+    let weight = q.aggregate.weight(&[]);
+    let surviving = if q.predicate.eval(&[]) && weight != 0.0 { results } else { 0 };
+    let mut builder = IdProfileBuilder::new();
+    for _ in 0..surviving {
+        if q.projection.is_some() {
+            builder.add_projected_result(&[], weight, weight, [])?;
+        } else {
+            builder.add_result(weight, []);
+        }
+    }
+    let stats =
+        ExecStats { peak_bindings: results, surviving_results: surviving, ..ExecStats::default() };
     Ok((builder.build(), stats))
 }
 
@@ -308,18 +334,15 @@ pub fn profile_grouped_with_stats_src(
             )));
         }
     }
-    if nvars == 0 {
-        let groups = match source {
-            Source::Rows(instance) => {
-                profile_grouped_reference(schema, instance, query, group_vars)?
-            }
-            Source::Archive(a) => {
-                profile_grouped_reference(schema, &a.materialize(), query, group_vars)?
-            }
-        };
-        return Ok((groups, ExecStats::default()));
-    }
     let private_vars = private_key_vars(schema, &q)?;
+    if nvars == 0 {
+        // No group variable can be bound either: one empty-key group when
+        // any result survives.
+        let (profile, stats) = constant_profile(source, &q)?;
+        let groups =
+            if profile.results.is_empty() { Vec::new() } else { vec![(Vec::new(), profile)] };
+        return Ok((groups, stats));
+    }
     if use_wcoj(&q, opts.strategy) {
         return match crate::wcoj::run_grouped(schema, source, &q, group_vars, private_vars, opts)? {
             Some(out) => Ok(out),

@@ -691,6 +691,91 @@ mod tests {
         (s, inst)
     }
 
+    /// The graph sample plus two zero-arity relations with repeated rows.
+    fn with_flags() -> (Schema, Instance) {
+        let (mut s, mut inst) = sample();
+        s.add_relation("Flag", &[], None, &[]).unwrap();
+        s.add_relation("Mark", &[], None, &[]).unwrap();
+        inst.insert_all("Flag", (0..3).map(|_| Vec::new()));
+        inst.insert_all("Mark", (0..2).map(|_| Vec::new()));
+        (s, inst)
+    }
+
+    /// Zero-variable queries: a product of zero-arity atoms, plain and
+    /// with a constant weight, a projection, and a constant-false filter.
+    fn zero_variable_queries() -> Vec<crate::query::Query> {
+        use crate::query::{atom, Aggregate, CmpOp, Expr, Predicate, Query};
+        let product = Query::count(vec![atom("Flag", &[]), atom("Mark", &[]), atom("Flag", &[])]);
+        vec![
+            product.clone(),
+            Query { aggregate: Aggregate::Sum(Expr::int(5)), ..product.clone() },
+            product.clone().with_projection(Vec::new()),
+            product.with_predicate(Predicate::Cmp(CmpOp::Lt, Expr::int(2), Expr::int(1))),
+        ]
+    }
+
+    /// Profile equality down to the weight bits.
+    fn assert_same_profile(a: &crate::lineage::QueryProfile, b: &crate::lineage::QueryProfile) {
+        assert_eq!(a, b);
+        let bits = |p: &crate::lineage::QueryProfile| -> Vec<u64> {
+            p.results.iter().map(|r| r.weight.to_bits()).collect()
+        };
+        assert_eq!(bits(a), bits(b));
+    }
+
+    #[test]
+    fn zero_variable_profiles_come_from_archive_row_counts() {
+        use crate::exec::{self, Source};
+        let (s, inst) = with_flags();
+        let path = tmp("zero-vars");
+        write_archive(&s, &inst, &path).unwrap();
+        let a = Archive::open(&s, &path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let mut surviving = Vec::new();
+        for q in zero_variable_queries() {
+            let (mapped, stats) =
+                exec::profile_with_stats_src(&s, Source::Archive(&a), &q, &Default::default())
+                    .unwrap();
+            assert_same_profile(&mapped, &exec::profile(&s, &inst, &q).unwrap());
+            assert_same_profile(&mapped, &exec::profile_reference(&s, &inst, &q).unwrap().0);
+            assert_eq!(stats.peak_bindings, 18, "{q:?}");
+            assert_eq!(mapped.results.len(), stats.surviving_results);
+            surviving.push(stats.surviving_results);
+        }
+        // 3 · 2 · 3 empty bindings survive unless the filter is false.
+        assert_eq!(surviving, [18, 18, 18, 0]);
+    }
+
+    #[test]
+    fn zero_variable_grouped_profiles_come_from_archive_row_counts() {
+        use crate::exec::{self, Source};
+        let (s, inst) = with_flags();
+        let path = tmp("zero-vars-grouped");
+        write_archive(&s, &inst, &path).unwrap();
+        let a = Archive::open(&s, &path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        for q in zero_variable_queries() {
+            let (mapped, stats) = exec::profile_grouped_with_stats_src(
+                &s,
+                Source::Archive(&a),
+                &q,
+                &[],
+                &Default::default(),
+            )
+            .unwrap();
+            assert_eq!(stats.peak_bindings, 18, "{q:?}");
+            let rows = exec::profile_grouped(&s, &inst, &q, &[]).unwrap();
+            let reference = exec::profile_grouped_reference(&s, &inst, &q, &[]).unwrap();
+            for other in [rows, reference] {
+                assert_eq!(mapped.len(), other.len(), "{q:?}");
+                for ((mk, m), (ok, o)) in mapped.iter().zip(&other) {
+                    assert!(mk.is_empty() && ok.is_empty());
+                    assert_same_profile(m, o);
+                }
+            }
+        }
+    }
+
     #[test]
     fn round_trip_preserves_rows_and_values() {
         let (s, inst) = sample();

@@ -24,7 +24,7 @@
 //! The live plane records exactly what the run-report plane records (same
 //! call sites, same `&'static str` names), plus polled gauges whose values
 //! are *released or public by definition* — spent/remaining ε (covered
-//! budget), cache sizes, pool occupancy. Reading the plane takes no lock any
+//! budget), cache sizes. Reading the plane takes no lock any
 //! serving path holds and touches no RNG, so exporting can never perturb a
 //! released answer; `tests/obs_differential.rs` pins that bit-for-bit.
 
@@ -432,7 +432,7 @@ mod tests {
     fn sample() -> Snapshot {
         let mut s = Snapshot { seq: 3, unix_ms: 1700000000000, ..Snapshot::default() };
         s.counters.insert("service.answers", 42);
-        s.gauges.insert("service.pool.workers", 7);
+        s.gauges.insert("service.cache.entries", 7);
         s.polled.insert(
             "service.tenant.eps.spent",
             vec![("fraud".to_string(), 0.25), ("marketing".to_string(), 0.5)],
@@ -449,7 +449,7 @@ mod tests {
         for frag in [
             "\"seq\": 3",
             "\"service.answers\": 42",
-            "\"service.pool.workers\": 7",
+            "\"service.cache.entries\": 7",
             "\"marketing\": 0.5",
             "\"p50\": 10",
             "\"buckets\": [[10, 100]]",
@@ -463,7 +463,7 @@ mod tests {
         let p = sample().to_prometheus();
         assert!(p.contains("# TYPE r2t_service_answers counter"));
         assert!(p.contains("r2t_service_answers 42"));
-        assert!(p.contains("# TYPE r2t_service_pool_workers gauge"));
+        assert!(p.contains("# TYPE r2t_service_cache_entries gauge"));
         assert!(p.contains("r2t_service_tenant_eps_spent{tenant=\"marketing\"} 0.5"));
         assert!(p.contains("r2t_service_answer_ns{quantile=\"0.999\"} 10"));
         assert!(p.contains("r2t_service_answer_ns_count 100"));

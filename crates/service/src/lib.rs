@@ -39,16 +39,15 @@
 //! prepared-statement cache incrementally instead of rebuilding it, and
 //! sessions pinned to older versions keep answering bit-identically.
 //!
-//! Budget enforcement is structural: the session's [`r2t_core::Accountant`]
+//! Budget enforcement is structural: the session's [`r2t_core::BudgetCell`]
 //! is charged *before* any noise is drawn, a refused charge draws nothing,
 //! and [`Session::answer_all`] charges its whole batch atomically (all
 //! queries answered or none). Determinism is structural too: each successful
 //! charge is assigned a substream index, and the answer's noise comes from
-//! [`substream_rng`]`(session seed, index)` — so batch answers are
-//! bit-identical regardless of how many worker threads served them.
+//! [`substream_rng`]`(session seed, index)` — so a batch's answers are
+//! bit-identical to answering its statements one by one in order.
 
 mod db;
-mod pool;
 mod session;
 mod snapshot;
 mod tier;

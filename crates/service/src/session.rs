@@ -31,11 +31,10 @@
 //! charge provably draws no noise — not as a discipline, but structurally:
 //! the substream counter only advances *after* the budget CAS commits, and
 //! there is no RNG to draw from until an index exists. Batch answering
-//! reserves its whole ε in one CAS and assigns the batch's index range
-//! before any fan-out, which makes [`Session::answer_all`] bit-identical for
-//! any worker count.
+//! reserves its whole ε in one CAS and then claims the batch's contiguous
+//! index range, which makes [`Session::answer_all`] bit-identical to
+//! answering its specs one by one in order.
 
-use crate::pool::WorkerPool;
 use crate::snapshot::{Prepared, PreparedKind, Snapshot};
 use crate::{Error, PrivateDatabase};
 use r2t_core::{BudgetCell, R2TConfig, R2TReport, R2T};
@@ -44,7 +43,7 @@ use r2t_sql::normalize;
 use rand::RngCore;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 pub use r2t_core::noise::substream_rng;
 
@@ -307,21 +306,10 @@ impl<'db> Session<'db> {
     /// Answers a batch of statements under one *atomic* charge: either the
     /// budget covers the whole batch (every query answered, each with its own
     /// substream) or nothing is spent and nothing is drawn. Queries are
-    /// answered concurrently on up to [`std::thread::available_parallelism`]
-    /// workers from the persistent serving pool; results are positionally
-    /// matched to `specs` and bit-identical for any worker count.
+    /// answered in order on the calling thread; answer `i` draws from the
+    /// batch's `i`-th substream, so the batch is bit-identical to answering
+    /// the specs one by one in order.
     pub fn answer_all(&self, specs: &[QuerySpec]) -> Result<Vec<Answer>, Error> {
-        let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        self.answer_all_with(specs, workers)
-    }
-
-    /// [`Self::answer_all`] with an explicit worker count (≥ 1): the calling
-    /// thread plus up to `workers − 1` pool workers.
-    pub fn answer_all_with(
-        &self,
-        specs: &[QuerySpec],
-        workers: usize,
-    ) -> Result<Vec<Answer>, Error> {
         let _batch_ns = r2t_obs::hist_time("service.batch.ns");
         let _batch_span = r2t_obs::span("service.batch");
         // Prepare everything (and surface errors) before any budget moves.
@@ -339,98 +327,73 @@ impl<'db> Session<'db> {
         }
         let n = jobs.len();
 
-        // One atomic batch reservation (a single CAS), then the substream
-        // index range — fixed here, before any fan-out, which is what makes
-        // the results worker-count independent.
+        // One atomic batch reservation (a single CAS), then the batch's
+        // contiguous substream index range.
         let batch_eps: f64 = jobs.iter().map(|(_, e)| *e).sum();
-        let charge = match self.budget.try_charge_sum(batch_eps, n as u64) {
-            Ok(c) => c,
-            Err(e) => {
-                r2t_obs::counter_add("service.refusals.budget", 1);
-                return Err(Error::Budget(e));
-            }
-        };
-        // Full-tier: on success `charges` always equals `answers` (and the
-        // answer-latency histogram's count), so the Counters tier keeps only
-        // the latter — the serving fast path has a ~100 ns telemetry budget.
-        if r2t_obs::enabled(r2t_obs::Level::Full) {
-            r2t_obs::counter_add("service.charges", n as u64);
-        }
-        if charge.retries > 0 {
-            r2t_obs::counter_add("service.charge.contention", charge.retries);
-        }
-        let batch_start = self.next_substream.fetch_add(n as u64, Ordering::AcqRel);
-        {
-            let mut ledger = self.ledger.lock().expect("ledger poisoned");
-            ledger.extend(jobs.iter().map(|(p, e)| (p.text.clone(), *e)));
-        }
+        let (batch_start, spent_before) =
+            self.commit(batch_eps, n as u64, jobs.iter().map(|(p, e)| (p.text.clone(), *e)))?;
 
         // Receipt totals reflect the ledger prefix up to each charge —
         // deterministic, unlike a racing read of the live cell.
         let total = self.budget.total();
-        let mut spent_prefix = Vec::with_capacity(n);
-        let mut acc = charge.spent_before;
-        for (_, e) in &jobs {
-            acc += e;
-            spent_prefix.push(acc);
-        }
-
-        // Owned job set: the pool's worker threads are 'static, so the
-        // runner captures everything by value (Arcs and scalars only).
-        let results: Arc<Vec<OnceLock<Answer>>> =
-            Arc::new((0..n).map(|_| OnceLock::new()).collect());
-        let run = {
-            let results = Arc::clone(&results);
-            let base = self.base.clone();
-            let seed = self.seed;
-            Box::new(move |i: usize| {
-                let (prepared, epsilon) = &jobs[i];
-                let spent = spent_prefix[i];
-                // Per-answer latency inside the batch, on whichever pool
-                // worker runs the job (same histogram as single answers).
+        let mut spent = spent_before;
+        Ok(jobs
+            .iter()
+            .zip(batch_start..)
+            .map(|((prepared, epsilon), substream)| {
+                spent += epsilon;
+                // Per-answer latency (same histogram as single answers).
                 let _answer_ns = r2t_obs::hist_time("service.answer.ns");
-                let answer = answer_charged(
-                    &base,
-                    seed,
+                answer_charged(
+                    &self.base,
+                    self.seed,
                     prepared,
                     *epsilon,
-                    batch_start + i as u64,
+                    substream,
                     spent,
                     (total - spent).max(0.0),
-                );
-                assert!(results[i].set(answer).is_ok(), "each job claimed once");
+                )
             })
-        };
-        WorkerPool::global().run(n, workers.max(1), run);
-        // Full-tier: at Counters the answer count is already exported as the
-        // latency histogram's `_count` (every answer records one sample).
-        if r2t_obs::enabled(r2t_obs::Level::Full) {
-            r2t_obs::counter_add("service.answers", n as u64);
-        }
-        Ok(results.iter().map(|slot| slot.get().expect("every job answered").clone()).collect())
+            .collect())
     }
 
-    /// Commits one charge and returns (substream index, spent, remaining).
-    fn charge_one(&self, text: &str, epsilon: f64) -> Result<(u64, f64, f64), Error> {
-        let charge = match self.budget.try_charge(epsilon) {
-            Ok(c) => c,
-            Err(e) => {
-                r2t_obs::counter_add("service.refusals.budget", 1);
-                return Err(Error::Budget(e));
-            }
-        };
-        // Full-tier: success charges equal answers (see the batch path).
+    /// Commits `n` charges totalling `epsilon` in one CAS, appends their
+    /// ledger `entries`, and claims their contiguous substream range.
+    /// Returns the range's first index and the ε spent before the charge. A
+    /// refusal touches nothing but the refusal counter.
+    fn commit(
+        &self,
+        epsilon: f64,
+        n: u64,
+        entries: impl IntoIterator<Item = (String, f64)>,
+    ) -> Result<(u64, f64), Error> {
+        let charge = self.budget.try_charge_sum(epsilon, n).map_err(|e| {
+            r2t_obs::counter_add("service.refusals.budget", 1);
+            Error::Budget(e)
+        })?;
+        // Full-tier: every committed charge is answered, so `charges` and
+        // `answers` both equal the answer-latency histogram's count, which
+        // is all the Counters tier keeps — the serving fast path has a
+        // ~100 ns telemetry budget.
         if r2t_obs::enabled(r2t_obs::Level::Full) {
-            r2t_obs::counter_add("service.charges", 1);
+            r2t_obs::counter_add("service.charges", n);
+            r2t_obs::counter_add("service.answers", n);
         }
         // Uncontended charges (the fast path) skip the zero record — the
         // counter tracks contention, not charges.
         if charge.retries > 0 {
             r2t_obs::counter_add("service.charge.contention", charge.retries);
         }
-        let index = self.next_substream.fetch_add(1, Ordering::AcqRel);
-        self.ledger.lock().expect("ledger poisoned").push((text.to_string(), epsilon));
-        Ok((index, charge.spent_after, (self.budget.total() - charge.spent_after).max(0.0)))
+        let start = self.next_substream.fetch_add(n, Ordering::AcqRel);
+        self.ledger.lock().expect("ledger poisoned").extend(entries);
+        Ok((start, charge.spent_before))
+    }
+
+    /// Commits one charge and returns (substream index, spent, remaining).
+    fn charge_one(&self, text: &str, epsilon: f64) -> Result<(u64, f64, f64), Error> {
+        let (index, spent_before) = self.commit(epsilon, 1, [(text.to_string(), epsilon)])?;
+        let spent = spent_before + epsilon;
+        Ok((index, spent, (self.budget.total() - spent).max(0.0)))
     }
 }
 
@@ -518,10 +481,6 @@ impl PreparedQuery<'_, '_> {
         let _answer_ns = r2t_obs::hist_time("service.answer.ns");
         let _answer_span = r2t_obs::span("service.answer");
         let (substream, spent, remaining) = self.session.charge_one(&self.inner.text, epsilon)?;
-        // Full-tier: the histogram's count carries this at Counters.
-        if r2t_obs::enabled(r2t_obs::Level::Full) {
-            r2t_obs::counter_add("service.answers", 1);
-        }
         Ok(answer_charged(
             &self.session.base,
             self.session.seed,
@@ -548,9 +507,6 @@ impl PreparedQuery<'_, '_> {
         let _answer_ns = r2t_obs::hist_time("service.answer.ns");
         let _answer_span = r2t_obs::span("service.answer");
         let (substream, spent, remaining) = self.session.charge_one(&self.inner.text, epsilon)?;
-        if r2t_obs::enabled(r2t_obs::Level::Full) {
-            r2t_obs::counter_add("service.answers", 1);
-        }
         let root = substream_rng(self.session.seed, substream).next_u64();
         let per_group = self.session.base.with_epsilon(epsilon / groups.len().max(1) as f64);
         let r2t = R2T::new(per_group);

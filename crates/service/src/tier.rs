@@ -9,7 +9,7 @@
 //! and each tenant's budget is a lock-free [`BudgetCell`], so charges from
 //! different tenants never serialize on anything and charges from the same
 //! tenant serialize only on that tenant's own cache line — the sharded
-//! accountant of DESIGN.md §3.7.
+//! budget layout of DESIGN.md §3.7.
 //!
 //! **Admission control.** [`ServiceTier::session`] refuses unknown
 //! tenants and tenants with an exhausted quota; a refused admission — like a
@@ -260,11 +260,5 @@ impl ServiceTier {
         r2t_obs::counter_add("service.admissions", 1);
         let base = opts.base.unwrap_or_else(|| self.inner.base.clone());
         Ok(Session::new(&self.inner.db, cell, base, opts.seed))
-    }
-
-    /// Admits a tenant session.
-    #[deprecated(note = "use session(SessionOptions::new().tenant(..).seed(..))")]
-    pub fn open_session(&self, tenant: &str, seed: u64) -> Result<Session<'_>, Error> {
-        self.session(SessionOptions::new().tenant(tenant).seed(seed))
     }
 }

@@ -42,9 +42,9 @@ fn main() -> Result<(), r2t::Error> {
         );
     }
 
-    // Batches charge atomically (all or nothing) and fan across threads;
-    // the outputs are bit-identical no matter the worker count because each
-    // answer's noise substream is pinned at commit time.
+    // Batches charge atomically (all or nothing); the outputs are
+    // bit-identical to answering one by one because each answer's noise
+    // substream is pinned at commit time.
     let batch = session.answer_all(&[
         QuerySpec::new(ORDERS, 0.1), // cache hit: no re-planning
         QuerySpec::new(ITEMS, 0.2),  // prepared on first use
@@ -55,7 +55,7 @@ fn main() -> Result<(), r2t::Error> {
     }
 
     // 0.7 of 1.0 spent; 0.5 more does not fit. The refusal happens at the
-    // accountant, before any noise is drawn — a refused query consumes
+    // budget cell, before any noise is drawn — a refused query consumes
     // neither budget nor randomness (see tests/service_session.rs).
     println!("\nspent {:.2}, remaining {:.2}", session.spent(), session.remaining());
     match orders.answer(0.5) {

@@ -145,7 +145,7 @@ fn serving_with_exporter_and_histograms_is_bit_identical() {
             bits.push(prepared.answer(0.05).expect("answer").noisy.to_bits());
         }
         let specs: Vec<QuerySpec> = (0..8).map(|_| QuerySpec::new(SQL, 0.05)).collect();
-        for a in session.answer_all_with(&specs, 4).expect("batch") {
+        for a in session.answer_all(&specs).expect("batch") {
             bits.push(a.noisy.to_bits());
         }
         bits

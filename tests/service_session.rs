@@ -1,7 +1,6 @@
 //! Integration tests for the session-based serving layer: prepared-query
 //! caching, budget enforcement under concurrency, and the determinism
-//! contract (prepared ≡ cold, worker-count independence, refusal draws no
-//! noise).
+//! contract (prepared ≡ cold, batch ≡ one by one, refusal draws no noise).
 
 use r2t::core::groupby::GroupByR2T;
 use r2t::core::{R2TConfig, R2T};
@@ -101,7 +100,7 @@ fn grouped_prepared_answer_matches_cold_query_grouped() {
 }
 
 #[test]
-fn answer_all_is_independent_of_worker_count() {
+fn answer_all_matches_one_by_one_in_order() {
     let specs: Vec<QuerySpec> = vec![
         QuerySpec::new(ORDERS_SQL, 0.25),
         QuerySpec::new(ITEMS_SQL, 0.25),
@@ -109,26 +108,21 @@ fn answer_all_is_independent_of_worker_count() {
         QuerySpec::new(ITEMS_SQL, 0.125),
     ];
     let db = db();
-    let mut outputs: Vec<Vec<u64>> = Vec::new();
-    for workers in [1, 2, 8] {
-        let session = open(&db, 1.0, 99);
-        let answers = session.answer_all_with(&specs, workers).expect("batch");
-        assert_eq!(answers.len(), specs.len());
-        for (i, a) in answers.iter().enumerate() {
-            assert_eq!(a.receipt.substream, i as u64, "batch indices are positional");
-        }
-        outputs.push(answers.iter().map(|a| a.noisy.to_bits()).collect());
+    let session = open(&db, 1.0, 99);
+    let answers = session.answer_all(&specs).expect("batch");
+    assert_eq!(answers.len(), specs.len());
+    for (i, a) in answers.iter().enumerate() {
+        assert_eq!(a.receipt.substream, i as u64, "batch indices are positional");
     }
-    assert_eq!(outputs[0], outputs[1], "1 vs 2 workers");
-    assert_eq!(outputs[0], outputs[2], "1 vs 8 workers");
+    let batch: Vec<u64> = answers.iter().map(|a| a.noisy.to_bits()).collect();
 
-    // The batch is also bit-identical to answering one by one in order.
+    // The batch is bit-identical to answering one by one in order.
     let session = open(&db, 1.0, 99);
     let sequential: Vec<u64> = specs
         .iter()
         .map(|s| session.answer(&s.sql, s.epsilon).expect("answer").noisy.to_bits())
         .collect();
-    assert_eq!(outputs[0], sequential, "batch vs one-by-one");
+    assert_eq!(batch, sequential, "batch vs one-by-one");
 }
 
 #[test]
@@ -150,9 +144,17 @@ fn over_budget_batch_is_refused_atomically() {
     assert_eq!(session.spent(), spent_before, "refused batch must not spend");
     assert_eq!(session.num_charges(), charges_before, "refused batch must not advance the ledger");
 
-    // The budget is still fully usable afterwards.
+    // The budget is still fully usable afterwards, and the refusal drew no
+    // noise: the next batch replays a twin session that never saw it.
     let ok = session.answer_all(&specs[..2]).expect("fits now");
+    let twin = open(&db, 1.0, 5);
+    twin.answer(ORDERS_SQL, 0.5).expect("fits");
+    let expected = twin.answer_all(&specs[..2]).expect("fits");
     assert_eq!(ok.len(), 2);
+    for (a, b) in ok.iter().zip(&expected) {
+        assert_eq!(a.receipt.substream, b.receipt.substream);
+        assert_eq!(a.noisy.to_bits(), b.noisy.to_bits());
+    }
 }
 
 #[test]
@@ -221,7 +223,7 @@ fn per_answer_epsilon_is_validated() {
     assert!(matches!(prepared.answer(0.0), Err(r2t::Error::Unsupported(_))));
     assert!(matches!(prepared.answer(-1.0), Err(r2t::Error::Unsupported(_))));
     assert!(matches!(prepared.answer(f64::INFINITY), Err(r2t::Error::Unsupported(_))));
-    assert_eq!(session.num_charges(), 0, "invalid epsilon never reaches the accountant");
+    assert_eq!(session.num_charges(), 0, "invalid epsilon never reaches the budget");
 }
 
 #[test]

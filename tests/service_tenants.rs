@@ -258,19 +258,31 @@ fn prepared_cache_is_shared_across_sessions_on_one_snapshot() {
 }
 
 #[test]
-fn tier_batches_run_on_the_pool_and_stay_deterministic() {
+fn tier_batches_match_one_by_one_on_a_shared_quota() {
     use r2t::system::QuerySpec;
-    let tier = ServiceTier::new(db(), seq_cfg());
-    tier.register_tenant("batcher", 100.0).expect("register");
     let specs: Vec<QuerySpec> = (0..32)
         .map(|i| QuerySpec::new(if i % 2 == 0 { ORDERS_SQL } else { ITEMS_SQL }, 1.0 / 64.0))
         .collect();
-    let mut outputs: Vec<Vec<u64>> = Vec::new();
-    for workers in [1usize, 3, 8] {
+    // Two tiers with the same tenant: in each, a batch session and a second
+    // session share the tenant's one quota.
+    let run = |batched: bool| {
+        let tier = ServiceTier::new(db(), seq_cfg());
+        tier.register_tenant("batcher", 1.0).expect("register");
+        let other = admit(&tier, "batcher", 7).expect("admitted");
+        other.answer(ORDERS_SQL, 0.25).expect("fits");
         let session = admit(&tier, "batcher", 42).expect("admitted");
-        let answers = session.answer_all_with(&specs, workers).expect("batch");
-        outputs.push(answers.iter().map(|a| a.noisy.to_bits()).collect());
-    }
-    assert_eq!(outputs[0], outputs[1], "1 vs 3 workers");
-    assert_eq!(outputs[0], outputs[2], "1 vs 8 workers");
+        let answers = if batched {
+            session.answer_all(&specs).expect("batch")
+        } else {
+            specs.iter().map(|s| session.answer(&s.sql, s.epsilon).expect("answer")).collect()
+        };
+        // Both paths charged the shared quota the same, exactly.
+        assert_eq!(tier.tenant("batcher").expect("registered").spent, 0.75);
+        assert_eq!(session.spent(), 0.75, "sessions see the tenant-wide spend");
+        // The quota has 0.25 left; a batch needing more is refused whole.
+        assert!(matches!(session.answer_all(&specs[..17]), Err(r2t::Error::Budget(_))));
+        assert_eq!(other.spent(), 0.75, "a refused batch spends nothing");
+        answers.iter().map(|a| (a.receipt.substream, a.noisy.to_bits())).collect::<Vec<_>>()
+    };
+    assert_eq!(run(true), run(false), "batch vs one-by-one");
 }
